@@ -68,7 +68,7 @@ use crate::datatype::TypeRegistry;
 use crate::exec::{CaseRunner, Session};
 use crate::journal::PlanHasher;
 use crate::muts::Mut;
-use crate::sampling::{self, CaseSet, Combo};
+use crate::sampling::{self, CaseSet, Cases, Combo, LinearSet};
 use crate::telemetry;
 use crate::value::TestValue;
 use rand::rngs::StdRng;
@@ -232,9 +232,10 @@ struct MutState<'a> {
     /// `true` when the fixed plan is exhaustive (or the MuT takes no
     /// parameters): there is nothing to steer, the pin *is* the plan.
     fixed: bool,
-    pinned: Vec<Combo>,
+    /// Cases pinned so far, built straight into the plan's flat layout.
+    pinned: Cases,
     deferred: Vec<Combo>,
-    taken: HashSet<u64>,
+    taken: LinearSet,
     /// Total combinations (pre-computed; steerable MuTs only need it).
     total: u64,
     /// Crash draws executed but re-drawn rather than pinned. Bounded by
@@ -295,15 +296,18 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             let fixed = prep.plan.exhaustive || prep.pools.is_empty();
             let dims: Vec<usize> = prep.pools.iter().map(Vec::len).collect();
             let total = sampling::combination_count(&dims);
+            // Steerable MuTs pin exactly their fixed plan's budget.
+            let pinned =
+                Cases::with_capacity(dims.len(), if fixed { 0 } else { prep.plan.cases.len() });
             MutState {
                 mut_: m,
                 pools: prep.pools,
                 dims,
                 fixed_plan: prep.plan,
                 fixed,
-                pinned: Vec::new(),
+                pinned,
                 deferred: Vec::new(),
-                taken: HashSet::new(),
+                taken: LinearSet::default(),
                 total,
                 discards: 0,
                 cursor: 0,
@@ -351,20 +355,21 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
             }
             let mut progress = 0;
             while progress < quota {
-                let combo = if st.fixed {
-                    let c = st.fixed_plan.cases[st.cursor].clone();
+                let drawn;
+                let combo: &[usize] = if st.fixed {
                     st.cursor += 1;
-                    c
+                    &st.fixed_plan.cases[st.cursor - 1]
                 } else {
-                    draw_combo(&mut rng, st, &touches, &rare, rare_bonus)
+                    drawn = draw_combo(&mut rng, st, &touches, &rare, rare_bonus);
+                    &drawn
                 };
                 session.residue = 0;
                 let result =
-                    runner.execute(os, st.mut_, &st.pools, &combo, &mut session, fuel_budget);
+                    runner.execute(os, st.mut_, &st.pools, combo, &mut session, fuel_budget);
                 explore_cases += 1;
                 explored_this_round += 1;
                 let label = class_label(result.class, result.raw);
-                for ((ty, pool), &idx) in st.mut_.params.iter().zip(&st.pools).zip(&combo) {
+                for ((ty, pool), &idx) in st.mut_.params.iter().zip(&st.pools).zip(combo) {
                     cov.touch_value(ty, pool[idx].name, pool.len() as u64);
                     *touches.entry((*ty, idx)).or_default() += 1;
                     if matches!(label, "Silent" | "Restart" | "Catastrophic") {
@@ -383,7 +388,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                         break;
                     }
                 } else {
-                    st.taken.insert(sampling::encode(&combo, &st.dims));
+                    st.taken.insert(sampling::encode(combo, &st.dims));
                     if result.class == FailureClass::Catastrophic {
                         // Keep the first crash (pinned last, so replay
                         // still reports the MuT Catastrophic); re-draw
@@ -401,7 +406,7 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                             st.discards += 1;
                             continue;
                         }
-                        st.deferred.push(combo);
+                        st.deferred.push(combo.to_vec());
                     } else {
                         st.pinned.push(combo);
                     }
@@ -430,7 +435,9 @@ pub fn explore(os: OsVariant, cfg: &CampaignConfig, acfg: &AdaptiveConfig) -> Pi
                 Arc::clone(&st.fixed_plan)
             } else {
                 let mut cases = st.pinned;
-                cases.extend(st.deferred);
+                for combo in &st.deferred {
+                    cases.push(combo);
+                }
                 debug_assert_eq!(cases.len(), st.fixed_plan.cases.len());
                 Arc::new(CaseSet {
                     dims: st.dims,

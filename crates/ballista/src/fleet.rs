@@ -205,18 +205,18 @@ impl ShardSpec {
 /// One MuT's clean-pass output in wire form: the packed record byte per
 /// case, the optional fuel side channel, or `None` for a MuT the shard
 /// quarantined after repeated contained faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireCleanMut {
     /// Packed record bytes, one per executed case ([`crate::crash::pack_case`]).
     pub records: Vec<u8>,
-    /// Per-case fuel, present iff the spec asked for it.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    /// Per-case fuel, present iff the spec asked for it; one entry per
+    /// record.
     pub fuel: Option<Vec<u64>>,
 }
 
 /// A completed shard: per-MuT clean-pass outputs for the spec's range,
 /// in range order, plus the shard's quarantine bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     /// Echo of the spec's `mut_start`, so results self-describe their
     /// placement even when they arrive out of order.
@@ -225,29 +225,153 @@ pub struct ShardResult {
     /// quarantined MuT.
     pub muts: Vec<Option<WireCleanMut>>,
     /// Human-readable quarantine/retry warnings, range order.
-    #[serde(skip_serializing_if = "Vec::is_empty", default)]
     pub warnings: Vec<String>,
     /// Contained worker panics that earned a retry inside this shard.
-    #[serde(default)]
     pub quarantine_retries: u64,
 }
 
+/// Leading bytes of a [`ShardResult`] wire payload: a tag and the
+/// layout version. A change to the layout bumps the last byte, so a
+/// worker built from other sources is a protocol fault, not a misparse.
+const RESULT_MAGIC: [u8; 4] = *b"BSR\x01";
+
+/// Per-MuT tags of the result layout.
+const MUT_QUARANTINED: u8 = 0;
+const MUT_RECORDS: u8 = 1;
+const MUT_RECORDS_FUEL: u8 = 2;
+
 impl ShardResult {
-    /// Serializes the result for the wire.
+    /// Serializes the result for the wire, in a binary layout (all
+    /// integers little-endian):
+    ///
+    /// ```text
+    /// "BSR" 0x01 | mut_start u64 | quarantine_retries u64 | muts u32
+    /// per MuT:     tag u8 (0 quarantined, 1 records, 2 records + fuel)
+    ///              [tag 1, 2] records u32 | record bytes
+    ///              [tag 2]    one fuel u64 per record
+    /// warnings u32 | per warning: length u32 | UTF-8 bytes
+    /// ```
+    ///
+    /// A clean-pass record is one byte per case, so the payload is
+    /// about one byte per case plus a few per MuT.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a MuT's fuel channel does not have one entry per
+    /// record, or a count exceeds `u32` — both producer bugs.
     #[must_use]
     pub fn to_wire(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("shard result serializes")
+        let len = |n: usize| {
+            u32::try_from(n)
+                .expect("shard result count fits u32")
+                .to_le_bytes()
+        };
+        let mut_bytes: usize = self
+            .muts
+            .iter()
+            .flatten()
+            .map(|w| 4 + w.records.len() + w.fuel.as_ref().map_or(0, |f| 8 * f.len()))
+            .sum();
+        let warning_bytes: usize = self.warnings.iter().map(|w| 4 + w.len()).sum();
+        let size = RESULT_MAGIC.len() + 8 + 8 + 4 + self.muts.len() + mut_bytes + 4 + warning_bytes;
+        let mut out = Vec::with_capacity(size);
+        out.extend_from_slice(&RESULT_MAGIC);
+        out.extend_from_slice(&(self.mut_start as u64).to_le_bytes());
+        out.extend_from_slice(&self.quarantine_retries.to_le_bytes());
+        out.extend_from_slice(&len(self.muts.len()));
+        for m in &self.muts {
+            let Some(w) = m else {
+                out.push(MUT_QUARANTINED);
+                continue;
+            };
+            out.push(if w.fuel.is_some() {
+                MUT_RECORDS_FUEL
+            } else {
+                MUT_RECORDS
+            });
+            out.extend_from_slice(&len(w.records.len()));
+            out.extend_from_slice(&w.records);
+            if let Some(fuel) = &w.fuel {
+                assert_eq!(fuel.len(), w.records.len(), "one fuel entry per record");
+                for f in fuel {
+                    out.extend_from_slice(&f.to_le_bytes());
+                }
+            }
+        }
+        out.extend_from_slice(&len(self.warnings.len()));
+        for w in &self.warnings {
+            out.extend_from_slice(&len(w.len()));
+            out.extend_from_slice(w.as_bytes());
+        }
+        debug_assert_eq!(out.len(), size);
+        out
     }
 
-    /// Parses a result off the wire.
+    /// Parses a result off the wire (the layout of
+    /// [`ShardResult::to_wire`]). The parser is exact: every count is
+    /// checked against the bytes left before anything is allocated, and
+    /// trailing bytes are an error.
     ///
     /// # Errors
     ///
-    /// Returns the parse error text for malformed bytes. Never panics —
+    /// Returns a description of the first malformation. Never panics —
     /// adversarial bytes are an expected input at a process boundary
     /// (asserted by the `wire_hardening` proptest).
     pub fn from_wire(bytes: &[u8]) -> Result<Self, String> {
-        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+        let mut r = WireReader(bytes);
+        if r.take(4)? != RESULT_MAGIC {
+            return Err("not a shard result (bad magic or layout version)".to_owned());
+        }
+        let mut_start = usize::try_from(r.u64()?).map_err(|_| "mut_start overflows usize")?;
+        let quarantine_retries = r.u64()?;
+        let n = r.count(1)?;
+        let mut muts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let tag = r.take(1)?[0];
+            if tag == MUT_QUARANTINED {
+                muts.push(None);
+                continue;
+            }
+            if tag != MUT_RECORDS && tag != MUT_RECORDS_FUEL {
+                return Err(format!("unknown MuT tag {tag:#x}"));
+            }
+            let records = r.prefixed()?.to_vec();
+            let fuel = if tag == MUT_RECORDS_FUEL {
+                let raw = r.take(
+                    records
+                        .len()
+                        .checked_mul(8)
+                        .ok_or("fuel length overflows")?,
+                )?;
+                Some(
+                    raw.chunks_exact(8)
+                        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                        .collect(),
+                )
+            } else {
+                None
+            };
+            muts.push(Some(WireCleanMut { records, fuel }));
+        }
+        let n = r.count(4)?;
+        let mut warnings = Vec::with_capacity(n);
+        for _ in 0..n {
+            let text = r.prefixed()?;
+            let text = std::str::from_utf8(text).map_err(|e| format!("warning text: {e}"))?;
+            warnings.push(text.to_owned());
+        }
+        if !r.0.is_empty() {
+            return Err(format!(
+                "{} trailing bytes after the shard result",
+                r.0.len()
+            ));
+        }
+        Ok(ShardResult {
+            mut_start,
+            muts,
+            warnings,
+            quarantine_retries,
+        })
     }
 
     /// Total executed cases recorded in this shard (for progress).
@@ -257,6 +381,45 @@ impl ShardResult {
             .flatten()
             .map(|m| m.records.len() as u64)
             .sum()
+    }
+}
+
+/// A cursor over untrusted wire bytes whose every read is bounds-checked.
+struct WireReader<'a>(&'a [u8]);
+
+impl<'a> WireReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.0.len() {
+            return Err(format!("truncated: need {n} bytes, {} left", self.0.len()));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// A `u32` count of items at least `min_item_bytes` long each,
+    /// rejected when the bytes left cannot hold that many.
+    fn count(&mut self, min_item_bytes: usize) -> Result<usize, String> {
+        let n = u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")) as usize;
+        if n.saturating_mul(min_item_bytes) > self.0.len() {
+            return Err(format!(
+                "truncated: count {n} exceeds the {} bytes left",
+                self.0.len()
+            ));
+        }
+        Ok(n)
+    }
+
+    /// A `u32`-length-prefixed byte string.
+    fn prefixed(&mut self) -> Result<&'a [u8], String> {
+        let n = self.count(1)?;
+        self.take(n)
     }
 }
 
@@ -279,7 +442,7 @@ const MAX_FRAME_LEN: usize = 1 << 28;
 
 /// Worker liveness report: cumulative progress within the shard the
 /// worker is currently executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Heartbeat {
     /// MuTs of the current shard completed so far.
     pub muts_done: u64,
@@ -287,7 +450,36 @@ pub struct Heartbeat {
     pub cases_done: u64,
 }
 
-/// Writes one `tag | u32-LE length | payload` frame.
+impl Heartbeat {
+    /// The fixed 16-byte payload: `muts_done` then `cases_done`, both
+    /// `u64` little-endian.
+    #[must_use]
+    pub fn to_wire(&self) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&self.muts_done.to_le_bytes());
+        out[8..].copy_from_slice(&self.cases_done.to_le_bytes());
+        out
+    }
+
+    /// Parses a heartbeat payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless the payload is exactly 16 bytes.
+    pub fn from_wire(bytes: &[u8]) -> Result<Self, String> {
+        if bytes.len() != 16 {
+            return Err(format!("heartbeat of {} bytes, want 16", bytes.len()));
+        }
+        let mut r = WireReader(bytes);
+        Ok(Heartbeat {
+            muts_done: r.u64()?,
+            cases_done: r.u64()?,
+        })
+    }
+}
+
+/// Writes one `tag | u32-LE length | payload` frame with a single
+/// `write_all`, so an unbuffered pipe sees one write per frame.
 ///
 /// # Errors
 ///
@@ -297,9 +489,11 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Resu
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload too large")
     })?;
-    w.write_all(&[tag])?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.push(tag);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -483,10 +677,9 @@ pub fn worker_loop(input: impl Read, output: impl Write) -> std::io::Result<()> 
         let result = {
             let out = &mut output;
             execute_shard_observed(&spec, &mut |hb| {
-                let payload = serde_json::to_vec(&hb).expect("heartbeat serializes");
                 // A broken pipe surfaces on the result frame below; a
                 // missed heartbeat on its own is not fatal.
-                let _ = write_frame(out, FRAME_HEARTBEAT, &payload);
+                let _ = write_frame(out, FRAME_HEARTBEAT, &hb.to_wire());
             })
         };
         if let Some((FaultKind::Garble, nth)) = fault {
@@ -843,7 +1036,7 @@ impl Supervisor<'_> {
         loop {
             match worker.frames.recv_timeout(self.deadline) {
                 Ok(Ok((FRAME_HEARTBEAT, payload))) => {
-                    if let Ok(hb) = serde_json::from_slice::<Heartbeat>(&payload) {
+                    if let Ok(hb) = Heartbeat::from_wire(&payload) {
                         let delta = hb.cases_done.saturating_sub(*hb_cases);
                         *hb_cases = hb.cases_done;
                         self.progress.cases_done.fetch_add(delta, Ordering::Relaxed);
@@ -1397,5 +1590,126 @@ pub(crate) fn run_fleet_engine(
         warnings,
         degraded,
         fleet_degraded: progress.degraded.load(Ordering::Relaxed),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample_result() -> ShardResult {
+        ShardResult {
+            mut_start: 12,
+            muts: vec![
+                Some(WireCleanMut {
+                    records: vec![1, 2, 3],
+                    fuel: Some(vec![0, 7, u64::MAX]),
+                }),
+                None,
+                Some(WireCleanMut {
+                    records: vec![9; 275],
+                    fuel: None,
+                }),
+            ],
+            warnings: vec!["quarantined ReadFile".to_owned(), "é".to_owned()],
+            quarantine_retries: 2,
+        }
+    }
+
+    #[test]
+    fn result_wire_round_trips_every_mut_tag() {
+        let result = sample_result();
+        let wire = result.to_wire();
+        assert_eq!(&wire[..4], b"BSR\x01");
+        assert_eq!(ShardResult::from_wire(&wire), Ok(result));
+        let empty = ShardResult {
+            mut_start: 0,
+            muts: Vec::new(),
+            warnings: Vec::new(),
+            quarantine_retries: 0,
+        };
+        assert_eq!(empty.to_wire().len(), 4 + 8 + 8 + 4 + 4);
+        assert_eq!(ShardResult::from_wire(&empty.to_wire()), Ok(empty));
+    }
+
+    #[test]
+    fn result_wire_is_about_a_byte_per_case() {
+        let result = ShardResult {
+            mut_start: 0,
+            muts: vec![
+                Some(WireCleanMut {
+                    records: vec![0; 275],
+                    fuel: None,
+                });
+                20
+            ],
+            warnings: Vec::new(),
+            quarantine_retries: 0,
+        };
+        let per_case = result.to_wire().len() as f64 / (20.0 * 275.0);
+        assert!((1.0..1.03).contains(&per_case), "{per_case} bytes per case");
+    }
+
+    #[test]
+    fn result_parser_rejects_trailing_bytes_magic_and_tags() {
+        let mut wire = sample_result().to_wire();
+        wire.push(0);
+        assert!(ShardResult::from_wire(&wire)
+            .unwrap_err()
+            .contains("trailing"));
+        let mut wire = sample_result().to_wire();
+        wire[3] = 2;
+        assert!(ShardResult::from_wire(&wire).unwrap_err().contains("magic"));
+        let mut wire = sample_result().to_wire();
+        wire[24] = 3;
+        assert!(ShardResult::from_wire(&wire).unwrap_err().contains("tag"));
+    }
+
+    #[test]
+    fn result_parser_checks_counts_before_allocating() {
+        let mut wire = RESULT_MAGIC.to_vec();
+        wire.extend_from_slice(&[0; 16]);
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ShardResult::from_wire(&wire).unwrap_err().contains("count"));
+        // A record length past the end of the buffer.
+        wire.truncate(20);
+        wire.extend_from_slice(&1u32.to_le_bytes());
+        wire.push(MUT_RECORDS);
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ShardResult::from_wire(&wire).is_err());
+    }
+
+    #[test]
+    fn heartbeat_is_a_fixed_16_byte_payload() {
+        let hb = Heartbeat {
+            muts_done: 3,
+            cases_done: 1 << 40,
+        };
+        let wire = hb.to_wire();
+        assert_eq!(Heartbeat::from_wire(&wire), Ok(hb));
+        assert!(Heartbeat::from_wire(&wire[..15]).is_err());
+        assert!(Heartbeat::from_wire(&[wire.as_slice(), &[0]].concat()).is_err());
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(Vec::new(), 0);
+        write_frame(&mut w, FRAME_RESULT, b"payload").expect("in-memory write");
+        assert_eq!(w.1, 1);
+        assert_eq!(
+            read_frame(&mut &w.0[..]).expect("well-formed"),
+            Some((FRAME_RESULT, b"payload".to_vec()))
+        );
     }
 }

@@ -8,10 +8,25 @@
 //! from the *MuT name only* — identical dimensions + identical name ⇒
 //! identical case list on every variant, which is what makes the Figure 2
 //! voting well-defined.
+//!
+//! # Plan layout
+//!
+//! A plan's cases live in one flat buffer, [`Cases`]: `len` cases of
+//! `width = dims.len()` pool indices each, back to back, so case `i` is
+//! the slice `[i * width, (i + 1) * width)`. A cap-5000 plan of a
+//! four-parameter MuT is one 160 KB allocation (5000 × 4 × 8 bytes),
+//! where a `Vec<usize>` per case cost 5000 allocations and about 72
+//! bytes per case (a 24-byte header in the outer vector plus a 32-byte
+//! heap block in a 48-byte allocator chunk). [`enumerate`] decodes every
+//! draw straight into that buffer. [`Combo`] (one owned `Vec<usize>`)
+//! remains only for [`decode`] and the adaptive explorer's in-flight
+//! draws.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Index;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The paper's per-MuT cap.
@@ -20,13 +35,139 @@ pub const PAPER_CAP: usize = 5000;
 /// A test case: one pool index per parameter.
 pub type Combo = Vec<usize>;
 
+/// A plan's case list in one flat buffer: [`Cases::len`] cases of
+/// `width` pool indices each (the MuT's parameter count), stored back
+/// to back (see the module docs). Indexing and iteration yield each
+/// case as a `&[usize]` slice; a zero-parameter MuT has width 0 and one
+/// empty case.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Cases {
+    width: usize,
+    len: usize,
+    indices: Vec<usize>,
+}
+
+impl Cases {
+    /// An empty list with room for `cases` cases of `width` indices,
+    /// allocated exactly once.
+    #[must_use]
+    pub fn with_capacity(width: usize, cases: usize) -> Cases {
+        Cases {
+            width,
+            len: 0,
+            indices: Vec::with_capacity(width.saturating_mul(cases)),
+        }
+    }
+
+    /// Number of cases.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no cases.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one case.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `combo` does not have the list's `width` indices.
+    pub fn push(&mut self, combo: &[usize]) {
+        assert_eq!(
+            combo.len(),
+            self.width,
+            "case of {} indices pushed onto cases of width {}",
+            combo.len(),
+            self.width
+        );
+        self.indices.extend_from_slice(combo);
+        self.len += 1;
+    }
+
+    /// Appends the case with lexicographic index `linear`, decoded in
+    /// place (the allocation-free twin of [`decode`]).
+    fn push_linear(&mut self, linear: u64, dims: &[usize]) {
+        debug_assert_eq!(dims.len(), self.width);
+        let start = self.indices.len();
+        self.indices.resize(start + dims.len(), 0);
+        decode_into(linear, dims, &mut self.indices[start..]);
+        self.len += 1;
+    }
+
+    /// The cases in order, each as a slice of pool indices.
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            indices: &self.indices,
+            width: self.width,
+            remaining: self.len,
+        }
+    }
+}
+
+impl Index<usize> for Cases {
+    type Output = [usize];
+
+    fn index(&self, i: usize) -> &[usize] {
+        assert!(i < self.len, "case {i} out of range for {} cases", self.len);
+        &self.indices[i * self.width..(i + 1) * self.width]
+    }
+}
+
+impl<'a> IntoIterator for &'a Cases {
+    type Item = &'a [usize];
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Cases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over [`Cases`], yielding each case as a slice.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    indices: &'a [usize],
+    width: usize,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a [usize];
+
+    fn next(&mut self) -> Option<&'a [usize]> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let (case, rest) = self.indices.split_at(self.width);
+        self.indices = rest;
+        Some(case)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// The selected case list for one MuT.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseSet {
     /// Pool sizes per parameter.
     pub dims: Vec<usize>,
     /// The selected combinations, in execution order.
-    pub cases: Vec<Combo>,
+    pub cases: Cases,
     /// Whether every combination is present.
     pub exhaustive: bool,
 }
@@ -41,14 +182,19 @@ pub fn combination_count(dims: &[usize]) -> u64 {
 /// inverse of [`encode`]. Public for the adaptive explorer's
 /// collision-probe fallback, which walks linear indices directly.
 #[must_use]
-pub fn decode(mut linear: u64, dims: &[usize]) -> Combo {
-    // Mixed-radix decode, least-significant dimension last (lexicographic).
+pub fn decode(linear: u64, dims: &[usize]) -> Combo {
     let mut combo = vec![0usize; dims.len()];
-    for (slot, &d) in combo.iter_mut().zip(dims).rev() {
+    decode_into(linear, dims, &mut combo);
+    combo
+}
+
+/// Mixed-radix decode into `slots`, least-significant dimension last
+/// (lexicographic).
+fn decode_into(mut linear: u64, dims: &[usize], slots: &mut [usize]) {
+    for (slot, &d) in slots.iter_mut().zip(dims).rev() {
         *slot = (linear % d as u64) as usize;
         linear /= d as u64;
     }
-    combo
 }
 
 /// The linear (lexicographic) index of a combination — the exact inverse
@@ -111,6 +257,33 @@ pub fn seed_from_name(name: &str) -> u64 {
     h
 }
 
+/// Hasher for sets of `u64` linear indices: one folded 64×64→128-bit
+/// multiply per key. The keys [`enumerate`] and the adaptive explorer
+/// dedup are RNG draws and probes made by this program, never outside
+/// input, so SipHash's flood resistance buys nothing there.
+#[derive(Default)]
+pub(crate) struct LinearHasher(u64);
+
+impl Hasher for LinearHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(self.0 ^ key) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of linear indices under [`LinearHasher`].
+pub(crate) type LinearSet = HashSet<u64, BuildHasherDefault<LinearHasher>>;
+
 /// Enumerates the case set for pools of the given sizes: exhaustive when
 /// the product is within `cap`, otherwise `cap` distinct pseudo-random
 /// combinations seeded by `seed_name`.
@@ -125,7 +298,10 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
     assert!(dims.iter().all(|&d| d > 0), "empty pool for {seed_name}");
     let total = combination_count(dims);
     if total <= cap as u64 {
-        let cases = (0..total).map(|i| decode(i, dims)).collect();
+        let mut cases = Cases::with_capacity(dims.len(), total as usize);
+        for linear in 0..total {
+            cases.push_linear(linear, dims);
+        }
         return CaseSet {
             dims: dims.to_vec(),
             cases,
@@ -133,12 +309,12 @@ pub fn enumerate(dims: &[usize], cap: usize, seed_name: &str) -> CaseSet {
         };
     }
     let mut rng = StdRng::seed_from_u64(seed_from_name(seed_name));
-    let mut seen = HashSet::with_capacity(cap);
-    let mut cases = Vec::with_capacity(cap);
+    let mut seen = LinearSet::with_capacity_and_hasher(cap, BuildHasherDefault::default());
+    let mut cases = Cases::with_capacity(dims.len(), cap);
     while cases.len() < cap {
         let linear = rng.random_range(0..total);
         if seen.insert(linear) {
-            cases.push(decode(linear, dims));
+            cases.push_linear(linear, dims);
         }
     }
     CaseSet {
@@ -179,9 +355,11 @@ pub fn enumerate_shared(dims: &[usize], cap: usize, seed_name: &str) -> Arc<Case
 /// Case list for a zero-parameter MuT: one empty case.
 #[must_use]
 pub fn single_case() -> CaseSet {
+    let mut cases = Cases::with_capacity(0, 1);
+    cases.push(&[]);
     CaseSet {
         dims: Vec::new(),
-        cases: vec![Vec::new()],
+        cases,
         exhaustive: true,
     }
 }
@@ -270,6 +448,117 @@ mod tests {
         let set = enumerate(&[9, 9, 9, 9], 100, "encode_roundtrip");
         let seen: HashSet<u64> = set.cases.iter().map(|c| encode(c, &set.dims)).collect();
         assert_eq!(seen.len(), set.cases.len(), "linear indices stay distinct");
+    }
+
+    /// The sampler as it was written over one `Vec<usize>` per case with
+    /// a SipHash dedup set: the flat layout must draw the same cases.
+    fn reference_enumerate(dims: &[usize], cap: usize, seed_name: &str) -> Vec<Combo> {
+        let total = combination_count(dims);
+        if total <= cap as u64 {
+            return (0..total).map(|i| decode(i, dims)).collect();
+        }
+        let mut rng = StdRng::seed_from_u64(seed_from_name(seed_name));
+        let mut seen = HashSet::new();
+        let mut cases = Vec::new();
+        while cases.len() < cap {
+            let linear = rng.random_range(0..total);
+            if seen.insert(linear) {
+                cases.push(decode(linear, dims));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn flat_plans_draw_the_reference_sample() {
+        for (dims, cap) in [
+            (&[3, 2][..], 100),
+            (&[4, 7, 3][..], 50),
+            (&[9, 9, 9, 9, 9][..], PAPER_CAP),
+            (&[14, 14, 8][..], 1),
+            (&[2][..], 2),
+        ] {
+            let set = enumerate(dims, cap, "reference");
+            let want = reference_enumerate(dims, cap, "reference");
+            assert_eq!(set.cases.len(), want.len());
+            assert!(
+                set.cases.iter().eq(want.iter().map(Vec::as_slice)),
+                "{dims:?} cap {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn cases_of_width_zero_hold_one_empty_case() {
+        let set = single_case();
+        assert_eq!(set.cases.len(), 1);
+        assert!(!set.cases.is_empty());
+        assert_eq!(&set.cases[0], &[] as &[usize]);
+        assert_eq!(set.cases.iter().len(), 1);
+        assert_eq!(set.cases.iter().collect::<Vec<_>>(), vec![&[] as &[usize]]);
+        assert_eq!(format!("{:?}", set.cases), "[[]]");
+        let mut none = Cases::with_capacity(0, 0);
+        assert!(none.is_empty());
+        none.push(&[]);
+        assert_eq!(none, set.cases);
+    }
+
+    #[test]
+    fn cases_index_within_bounds() {
+        let set = enumerate(&[3, 2], 100, "small");
+        assert_eq!(&set.cases[5], &[2, 1]);
+        assert_eq!(set.cases.iter().nth(4), Some(&[2, 0][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "case 6 out of range for 6 cases")]
+    fn cases_index_past_the_end_panics() {
+        let set = enumerate(&[3, 2], 100, "small");
+        let _ = &set.cases[6];
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 1 cases")]
+    fn width_zero_index_past_the_end_panics() {
+        let _ = &single_case().cases[1];
+    }
+
+    #[test]
+    fn cases_iterator_is_exact_size() {
+        let set = enumerate(&[4, 7, 3], 50, "ranged");
+        let mut it = set.cases.iter();
+        assert_eq!(it.len(), 50);
+        assert_eq!(it.size_hint(), (50, Some(50)));
+        it.next();
+        it.nth(1);
+        assert_eq!(it.len(), 47);
+        assert_eq!(it.by_ref().count(), 47);
+        assert_eq!(it.len(), 0);
+        assert_eq!(it.next(), None);
+        assert_eq!((&set.cases).into_iter().len(), set.cases.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "case of 2 indices pushed onto cases of width 3")]
+    fn cases_push_rejects_the_wrong_width() {
+        Cases::with_capacity(3, 1).push(&[1, 2]);
+    }
+
+    #[test]
+    fn enumerated_cases_equal_pushed_cases() {
+        for (dims, cap) in [(&[3, 2][..], 100), (&[9, 9, 9, 9][..], 100)] {
+            let set = enumerate(dims, cap, "pushed");
+            let mut pushed = Cases::with_capacity(dims.len(), 0);
+            for case in &set.cases {
+                pushed.push(&decode(encode(case, dims), dims));
+            }
+            assert_eq!(pushed, set.cases);
+            assert_eq!(format!("{pushed:?}"), format!("{:?}", set.cases));
+            pushed.push(&vec![0; dims.len()]);
+            assert_ne!(pushed, set.cases);
+        }
+        // Same cases, different width: not equal.
+        assert_ne!(Cases::with_capacity(1, 0), Cases::with_capacity(2, 0));
     }
 
     #[test]

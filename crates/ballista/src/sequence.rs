@@ -14,7 +14,7 @@ use crate::crash::{FailureClass, RawOutcome};
 use crate::datatype::TypeRegistry;
 use crate::exec::{execute_case, execute_case_on, Session};
 use crate::muts::Mut;
-use crate::sampling;
+use crate::sampling::{self, Cases};
 use crate::value::TestValue;
 use serde::{Deserialize, Serialize};
 use sim_kernel::variant::OsVariant;
@@ -91,16 +91,16 @@ fn pools_for(registry: &TypeRegistry, m: &Mut) -> Vec<Vec<TestValue>> {
 /// chain and a state-dependence probe want. Using a fixed order (rather
 /// than the campaign sampler) also keeps the sweep reproducible
 /// independent of the sampling RNG.
-fn cases_for(pools: &[Vec<TestValue>], n: usize) -> Vec<Vec<usize>> {
+fn cases_for(pools: &[Vec<TestValue>], n: usize) -> Cases {
     if pools.is_empty() {
-        return vec![Vec::new()];
+        return sampling::single_case().cases;
     }
     let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
     let n = n.max(1);
-    let mut cases = Vec::with_capacity(n);
+    let mut cases = Cases::with_capacity(dims.len(), n);
     let mut combo = vec![0usize; dims.len()];
     while cases.len() < n {
-        cases.push(combo.clone());
+        cases.push(&combo);
         let mut i = dims.len();
         loop {
             if i == 0 {

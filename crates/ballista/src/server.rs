@@ -30,8 +30,12 @@
 //!
 //! # Fingerprint memoization
 //!
-//! Computing a fingerprint requires resolving every MuT's pools and
-//! sampling plan — microseconds, but far too slow for a hot cache-hit
+//! Computing a fingerprint resolves every MuT's pools and enumerates
+//! its sampling plan through the process-wide plan cache: well under a
+//! millisecond per variant for a never-seen cap of a few hundred, about
+//! a quarter of one once the cap's plans are cached (perfbench's
+//! `campaign.fingerprint_us` on `served` and `sweep`), and more for a
+//! never-seen cap 5000 — either way far too slow for a hot cache-hit
 //! path. The server memoizes spec → fingerprint in a hash map, so the
 //! steady-state cost of a hit is two hash probes and a socket write
 //! (the `fleet_bench` hit-path throughput target leans on this).
@@ -282,7 +286,8 @@ impl State {
     }
 
     /// Spec → fingerprint, memoized (computing a fingerprint resolves
-    /// every MuT's pools — too slow for the hot hit path).
+    /// every MuT's pools and sampling plan — too slow for the hot hit
+    /// path).
     fn fingerprint_of(&self, spec: &CampaignSpec) -> CampaignFingerprint {
         if let Some(fp) = self
             .fingerprints

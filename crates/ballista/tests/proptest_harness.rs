@@ -42,7 +42,7 @@ proptest! {
             for (i, &idx) in combo.iter().enumerate() {
                 prop_assert!(idx < dims[i]);
             }
-            prop_assert!(seen.insert(combo.clone()), "duplicate combo");
+            prop_assert!(seen.insert(combo), "duplicate combo");
         }
         if a.exhaustive {
             prop_assert_eq!(a.cases.len() as u64, total);

@@ -34,11 +34,19 @@ fn valid_result_wire() -> Vec<u8> {
         muts: vec![
             Some(WireCleanMut {
                 records: vec![0, 1, 2, 255],
-                fuel: Some(vec![10, 20, 30, 40]),
+                fuel: Some(vec![10, 20, 30, u64::MAX]),
             }),
             None,
+            Some(WireCleanMut {
+                records: vec![7, 7, 7],
+                fuel: None,
+            }),
+            Some(WireCleanMut {
+                records: Vec::new(),
+                fuel: None,
+            }),
         ],
-        warnings: vec!["quarantined strcpy".to_owned()],
+        warnings: vec!["quarantined strcpy".to_owned(), String::new()],
         quarantine_retries: 1,
     }
     .to_wire()
@@ -53,8 +61,9 @@ proptest! {
         let _ = ShardResult::from_wire(&bytes);
     }
 
-    /// Every truncation of a valid encoding is rejected gracefully
-    /// (a strict prefix of JSON is never valid JSON).
+    /// Every truncation of a valid encoding is rejected gracefully (a
+    /// strict prefix of JSON is never valid JSON, and the binary result
+    /// parser demands every byte its counts promise).
     #[test]
     fn truncations_are_rejected(cut in 0usize..1000) {
         let spec = valid_spec_wire();

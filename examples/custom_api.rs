@@ -70,11 +70,11 @@ fn main() {
     // 3. Enumerate, execute, classify — the standard Ballista loop.
     let pools = resolve_pools(&registry, &frobnicate);
     let dims: Vec<usize> = pools.iter().map(Vec::len).collect();
-    let cases = sampling::enumerate(&dims, 5000, frobnicate.name);
+    let plan = sampling::enumerate(&dims, 5000, frobnicate.name);
     let mut session = Session::new();
     let mut by_class: BTreeMap<FailureClass, usize> = BTreeMap::new();
     let mut worst_examples: BTreeMap<FailureClass, String> = BTreeMap::new();
-    for combo in &cases.cases {
+    for combo in &plan.cases {
         let result = execute_case(
             sim_kernel::variant::OsVariant::Linux,
             &frobnicate,
@@ -95,8 +95,8 @@ fn main() {
 
     println!(
         "FrobnicateBuffer(buf, len, mode): {} test cases ({})\n",
-        cases.cases.len(),
-        if cases.exhaustive { "exhaustive" } else { "sampled" }
+        plan.cases.len(),
+        if plan.exhaustive { "exhaustive" } else { "sampled" }
     );
     for (class, count) in by_class.iter().rev() {
         println!(
